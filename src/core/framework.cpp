@@ -372,6 +372,55 @@ void FrameworkDriver::run_local_contractions(StructureForest& forest) {
   }
 }
 
+bool FrameworkDriver::frontier_proves_empty(const StructureForest& forest) const {
+  const std::int64_t mark = forest.empty_structure_graph_mark();
+  if (mark < 0) return false;
+  const std::vector<Vertex>& log = forest.change_log();
+  for (auto i = static_cast<std::size_t>(mark); i < log.size(); ++i) {
+    const Vertex w = log[i];
+    if (!forest.is_outer(w)) continue;
+    const StructureId sw = forest.structure_of(w);
+    for (Vertex x : g_.neighbors(w)) {
+      const StructureId sx = forest.structure_of(x);
+      if (sx != kNoStructure && sx != sw && forest.is_outer(x)) return false;
+    }
+  }
+  return true;
+}
+
+std::int64_t FrameworkDriver::sweep_structure_graph(const StructureForest& forest) {
+  // Serial prepass: every live structure scans its members.
+  eligible_.clear();
+  keyed_.clear();
+  std::int64_t scan_vertices = 0;
+  for (StructureId sid = 0; sid < forest.num_structures(); ++sid) {
+    const StructureInfo& si = forest.structure(sid);
+    if (si.removed) continue;
+    eligible_.push_back(sid);
+    scan_vertices += static_cast<std::int64_t>(si.members.size());
+  }
+  if (eligible_.empty()) return 0;
+  discover(forest, Sweep::kAugment, scan_vertices);
+
+  // Serial coordinator merge in structure-id order (buffers spliced per
+  // structure by member position): node ids in first-encounter order, one
+  // keyed arc per candidate in emission order.
+  nodes_.clear();
+  std::int64_t gathered = 0;
+  for (std::size_t e = 0; e < eligible_.size(); ++e) {
+    const std::span<const SweepArc> arcs = merged_arcs(e);
+    gathered += static_cast<std::int64_t>(arcs.size());
+    for (const SweepArc& a : arcs) {
+      const std::int32_t ia = structure_node(eligible_[e]);
+      const std::int32_t ib = structure_node(a.sx);
+      keyed_.push_back({pair_key(ia, ib),
+                        static_cast<std::int32_t>(keyed_.size()), a.w, a.x});
+    }
+  }
+  for (const StructureId s : nodes_) node_of_[static_cast<std::size_t>(s)] = -1;
+  return gathered;
+}
+
 void FrameworkDriver::run_augment_loop(StructureForest& forest) {
   // Step 2 of Contract-and-Augment (Algorithm 4): iterate A_matching on the
   // structure graph H' (Definition 5.4) and Augment along each matched pair.
@@ -379,43 +428,28 @@ void FrameworkDriver::run_augment_loop(StructureForest& forest) {
       cfg_.scheduled_iterations(oracle_.approx_factor());
   const auto ns = static_cast<std::size_t>(forest.num_structures());
   if (node_of_.size() < ns) node_of_.resize(ns, -1);
+
+  // Frontier gate (file comment): H' empty without a full sweep. The ledger
+  // sees what the empty full sweep would have charged.
+  if (frontier_proves_empty(forest)) {
+    if (cfg_.check_invariants)
+      BMF_ASSERT_MSG(sweep_structure_graph(forest) == 0,
+                     "frontier gate proved a non-empty H' empty");
+    forest.mark_structure_graph_empty();
+    participation_->note_rebuild_gather(0);
+    return;
+  }
+
   std::int64_t iterations = 0;
   for (;;) {
-    // Serial prepass: every live structure scans its members.
-    eligible_.clear();
-    std::int64_t scan_vertices = 0;
-    for (StructureId sid = 0; sid < forest.num_structures(); ++sid) {
-      const StructureInfo& si = forest.structure(sid);
-      if (si.removed) continue;
-      eligible_.push_back(sid);
-      scan_vertices += static_cast<std::int64_t>(si.members.size());
-    }
-    if (eligible_.empty()) {
-      participation_->note_rebuild_gather(0);
-      break;
-    }
-    discover(forest, Sweep::kAugment, scan_vertices);
-
-    // Serial coordinator merge in structure-id order (buffers spliced per
-    // structure by member position): node ids in first-encounter order, one
-    // keyed arc per candidate in emission order.
-    keyed_.clear();
-    nodes_.clear();
-    std::int64_t gathered = 0;
-    for (std::size_t e = 0; e < eligible_.size(); ++e) {
-      const std::span<const SweepArc> arcs = merged_arcs(e);
-      gathered += static_cast<std::int64_t>(arcs.size());
-      for (const SweepArc& a : arcs) {
-        const std::int32_t ia = structure_node(eligible_[e]);
-        const std::int32_t ib = structure_node(a.sx);
-        keyed_.push_back({pair_key(ia, ib),
-                          static_cast<std::int32_t>(keyed_.size()), a.w, a.x});
-      }
-    }
+    ++stats_.augment_sweeps;
+    const std::int64_t gathered = sweep_structure_graph(forest);
     participation_->note_rebuild_gather(
         gathered * static_cast<std::int64_t>(sizeof(SweepArc)));
-    for (const StructureId s : nodes_) node_of_[static_cast<std::size_t>(s)] = -1;
-    if (keyed_.empty()) break;
+    if (keyed_.empty()) {
+      forest.mark_structure_graph_empty();
+      break;
+    }
 
     // One edge per structure pair, its first arc the witness; edges in key
     // order, so the oracle input is a pure function of the structure graph.
@@ -454,11 +488,13 @@ void FrameworkDriver::run_augment_loop(StructureForest& forest) {
     }
     if (found.empty() || applied == 0) {
       ++stats_.truncated_loops;
+      forest.clear_structure_graph_mark();
       break;
     }
     if (cfg_.iteration_mode == IterationMode::kPaperBound &&
         iterations >= iteration_bound) {
       ++stats_.truncated_loops;
+      forest.clear_structure_graph_mark();
       break;
     }
   }

@@ -39,7 +39,21 @@
 ///    (structure-pair key, witness) vector, sorted once per H' iteration and
 ///    binary-searched for the answer. Once the buffers have grown to the
 ///    largest iteration seen, a single-participant sweep allocates nothing
-///    (a partitioned one only inside the participation's `merge`).
+///    (a partitioned one only inside the participation's `merge`);
+///  * frontier gate: most H' sweeps find nothing, so the augment loop first
+///    tries to prove H' empty from what changed since it was last empty.
+///    Within a phase an H' arc depends only on removed / structure_of /
+///    is_outer, which change monotonically and only at the points the
+///    forest logs (structures.hpp), so every arc that appeared since the
+///    forest's empty-H' mark has a logged endpoint. If no logged outer
+///    vertex has an outer neighbour in another live structure, H' is empty:
+///    the loop charges `note_rebuild_gather(0)` exactly as the empty full
+///    sweep did (the coordinator ledger is unchanged) and returns. Otherwise
+///    the full sweep runs unchanged, so every non-empty H' the oracle sees is
+///    the same one. Every empty verdict, proved or swept, moves the mark to
+///    the log's end; a loop cut short (truncation, paper bound) clears it.
+///    Under `check_invariants` every "proved empty" verdict is
+///    cross-checked against a full sweep.
 ///
 /// This is what makes the Theorem 6.2 rebuild inside the dynamic matcher
 /// parallel, and cheap: its exhaustion sweeps run through this driver.
@@ -159,6 +173,7 @@ struct FrameworkStats {
   std::int64_t stage_iterations = 0;  ///< oracle iterations inside Algorithm 5
   std::int64_t ca_iterations = 0;     ///< oracle iterations inside Algorithm 4
   std::int64_t truncated_loops = 0;   ///< loops cut by the paper's fixed bound
+  std::int64_t augment_sweeps = 0;    ///< full H' sweeps (frontier gate missed)
 };
 
 /// Observation hook for the Figure-3 benchmark: reports the size of the
@@ -187,6 +202,12 @@ class FrameworkDriver final : public PassBundleDriver {
   [[nodiscard]] const FrameworkStats& stats() const { return stats_; }
   void set_observer(IterationObserver obs) { observer_ = std::move(obs); }
 
+  /// The two steps of Contract-and-Augment, callable on their own by a driver
+  /// that samples in between (WeakOracleDriver): step 1 exhausts type-1 arcs
+  /// by local contraction, step 2 is the A_matching loop on H'.
+  void run_local_contractions(StructureForest& forest);
+  void run_augment_loop(StructureForest& forest);
+
  private:
   /// Which derived graph a discovery sweep builds.
   enum class Sweep { kStage, kAugment };
@@ -203,8 +224,14 @@ class FrameworkDriver final : public PassBundleDriver {
   /// One stage of Algorithm 5 (or the unsplit [FMU22]-style variant when
   /// cfg.stage_split is false and stage < 0).
   void run_stage(StructureForest& forest, int stage);
-  void run_augment_loop(StructureForest& forest);
-  void run_local_contractions(StructureForest& forest);
+  /// The frontier gate: true when no vertex logged since the forest's
+  /// empty-H' mark is outer with an outer neighbour in another live
+  /// structure, which proves H' empty (structures.hpp, change log).
+  [[nodiscard]] bool frontier_proves_empty(const StructureForest& forest) const;
+  /// One full H' sweep: every live structure's members into keyed_ / nodes_
+  /// (one keyed arc per candidate, emission order). Returns the number of
+  /// candidate arcs gathered; keyed_ is empty iff H' is.
+  std::int64_t sweep_structure_graph(const StructureForest& forest);
 
   /// Scans every eligible structure's vertex run into its slot buffers,
   /// fanned out over the (participant x eligible structure) slots when the

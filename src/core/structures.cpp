@@ -19,6 +19,8 @@ void StructureForest::init_phase() {
   arena_.reset(n);
   structures_.clear();
   paths_.clear();
+  change_log_.clear();
+  empty_h_mark_ = -1;
   vert_struct_.assign(static_cast<std::size_t>(n), kNoStructure);
   removed_.assign(static_cast<std::size_t>(n), 0);
   lab_.assign(static_cast<std::size_t>(n), 0);
@@ -173,6 +175,7 @@ void StructureForest::overtake(Vertex u, Vertex v, int k) {
     a.size += 2;
     lab_[static_cast<std::size_t>(v)] = k;
     a.working = bt;
+    change_log_.push_back(t);  // the new outer vertex (v joins inner)
     mark_extended(su);
     ++totals_.overtake_unvisited;
     ++bundle_ops_;
@@ -254,6 +257,7 @@ void StructureForest::move_subtree(BlossomId sub_root, StructureId from,
     for (Vertex w : verts) {
       vert_struct_[static_cast<std::size_t>(w)] = to;
       dst.members.push_back(w);
+      change_log_.push_back(w);
       ++moved;
     }
     for (BlossomId c : arena_.node(b).tree_children) queue.push_back(c);
@@ -334,6 +338,10 @@ void StructureForest::contract(Vertex u, Vertex v) {
   const BlossomId lca_parent = arena_.node(lca).tree_parent;
   const Vertex lca_pe_u = arena_.node(lca).pe_u;
   const Vertex lca_pe_v = arena_.node(lca).pe_v;
+
+  // The cycle's inner (hence trivial) members turn outer with the blossom.
+  for (BlossomId cb : cycle)
+    if (!arena_.node(cb).outer) change_log_.push_back(arena_.node(cb).vert);
 
   // Collect hanging tree children of all cycle members (children that are not
   // themselves on the cycle) before rewiring.

@@ -10,6 +10,21 @@
 /// structures; recorded augmenting paths are applied to the matching by the
 /// phase engine after the phase ends (Algorithm 1 line 6). The matching is
 /// read-only during a phase.
+///
+/// Change log (the H' frontier gate of core/framework.hpp): an arc of the
+/// structure graph H' (Definition 5.4) depends only on per-vertex state —
+/// removed, structure_of and is_outer. Within a phase removal only grows,
+/// outer status only goes inner -> outer (Contract), and a vertex changes
+/// structure only by Overtake case 1 (v, t join) or case 2.2 (subtree theft).
+/// The forest appends to a per-phase vertex log at exactly those points:
+/// case 1 logs t (v joins inner), case 2.2 logs every moved vertex, Contract
+/// logs the formerly inner cycle members; Augment and Backtrack log nothing.
+/// So if H' was empty when the log had length k, every H' arc that exists
+/// now has an endpoint logged at index >= k. The forest also keeps that k
+/// (the empty-H' mark) rather than a driver: a driver cannot tell phases
+/// apart by forest address (the phase engine builds each phase's forest in
+/// the same place) and a wrapped driver may never see `begin_phase`.
+/// `init_phase` resets both.
 
 #include <cstdint>
 #include <vector>
@@ -148,6 +163,24 @@ class StructureForest {
   [[nodiscard]] std::int64_t ops_this_bundle() const { return bundle_ops_; }
   [[nodiscard]] bool hold_seen() const { return hold_seen_; }
 
+  // ---- change log (see the file comment) ---------------------------------
+
+  /// The vertices logged this phase, in operation order (may repeat).
+  [[nodiscard]] const std::vector<Vertex>& change_log() const {
+    return change_log_;
+  }
+  /// change_log().size() when H' was last seen empty, or -1 when unknown
+  /// (phase start, or after an augment loop that stopped early).
+  [[nodiscard]] std::int64_t empty_structure_graph_mark() const {
+    return empty_h_mark_;
+  }
+  /// Records that H' is empty now.
+  void mark_structure_graph_empty() {
+    empty_h_mark_ = static_cast<std::int64_t>(change_log_.size());
+  }
+  /// Forgets the mark: H' may be non-empty.
+  void clear_structure_graph_mark() { empty_h_mark_ = -1; }
+
   /// Heavyweight structural invariant checks (gated by cfg.check_invariants
   /// at call sites; safe to call any time between operations).
   void check_invariants() const;
@@ -171,6 +204,8 @@ class StructureForest {
   std::vector<int> lab_;
   std::vector<std::uint8_t> removed_;
   std::vector<std::vector<Vertex>> paths_;
+  std::vector<Vertex> change_log_;
+  std::int64_t empty_h_mark_ = -1;
 
   OpCounts totals_;
   std::int64_t bundle_ops_ = 0;

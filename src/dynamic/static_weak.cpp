@@ -157,29 +157,11 @@ void WeakOracleDriver::extend_active_path(StructureForest& forest) {
 
 void WeakOracleDriver::contract_and_augment(StructureForest& forest) {
   // Step 1 (Section 6.5): exhaust type-1 arcs by scanning in-structure edges;
-  // this is O(n * Delta^2) local work, no oracle involved. Reuse the
-  // framework's local contraction pass via the fallback driver below when
-  // enabled; otherwise run a minimal local pass here.
-  for (StructureId sid = 0; sid < forest.num_structures(); ++sid) {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      const StructureInfo& si = forest.structure(sid);
-      if (si.removed || si.working == kNoBlossom) break;
-      blossom_scan_.clear();
-      forest.arena().collect_vertices(si.working, blossom_scan_);
-      for (Vertex w : blossom_scan_) {
-        for (Vertex x : g_.neighbors(w)) {
-          if (forest.can_contract(w, x)) {
-            forest.contract(w, x);
-            changed = true;
-            break;
-          }
-        }
-        if (changed) break;
-      }
-    }
-  }
+  // this is O(n * Delta^2) local work, no oracle involved — the framework's
+  // local contraction pass, run once here whether or not the exhaustive
+  // fallback follows (the sampled Augments below only remove structures, so
+  // they leave no type-1 arc for a second pass to find).
+  fallback_.run_local_contractions(forest);
 
   // Step 2: sampled Augment iterations — one uniformly random *outer* vertex
   // per structure, A_weak on G[S] (Figure 4). The outer members of every
@@ -234,7 +216,7 @@ void WeakOracleDriver::contract_and_augment(StructureForest& forest) {
       stall = 0;
   }
 
-  if (cfg_.exhaustive_fallback) fallback_.contract_and_augment(forest);
+  if (cfg_.exhaustive_fallback) fallback_.run_augment_loop(forest);
 }
 
 Matching weak_initial_matching(Vertex n, WeakOracle& oracle,

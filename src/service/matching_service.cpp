@@ -50,8 +50,9 @@ const MatchingSnapshot& SnapshotReader::refresh() const {
   const std::int64_t e_now =
       svc_->published_epoch_.load(std::memory_order_acquire);
   // SSP refresh rule: re-fetch only once the cache falls behind the window.
-  // latest_ is stored before published_epoch_ (both release), so the fetched
-  // snapshot's epoch is >= e_now and post-refresh staleness clamps to 0.
+  // latest_ is stored (under its slot lock, whose unlock is a release) before
+  // published_epoch_ (release), so the fetched snapshot's epoch is >= e_now
+  // and post-refresh staleness clamps to 0.
   if (!snap_ || e_now - snap_->epoch() > svc_->cfg_.max_lag)
     snap_ = svc_->latest();
   last_staleness_ = std::max<std::int64_t>(0, e_now - snap_->epoch());
@@ -119,12 +120,14 @@ void MatchingService::start() {
   wstats_.staleness_hist.assign(static_cast<std::size_t>(cfg_.max_lag) + 2, 0);
   // Epoch 0 (the engine's current matching — empty for a fresh engine) is
   // published before the writer exists, so readers always find a snapshot.
-  // Release for uniformity with the publication contract below (any thread
+  // Under the slot lock for uniformity with the publication below (any thread
   // that can reach latest_ was created after this store, so the constructor's
   // own synchronization already covers it).
-  latest_.store(
-      std::make_shared<const MatchingSnapshot>(engine_->export_snapshot(0)),
-      std::memory_order_release);
+  {
+    const MutexLock lock(latest_mutex_);
+    latest_ =
+        std::make_shared<const MatchingSnapshot>(engine_->export_snapshot(0));
+  }
   writer_ = std::thread([this] { writer_loop(); });
 }
 
@@ -233,12 +236,18 @@ void MatchingService::writer_loop() {
 
     // Publication order matters and the lint holds us to it
     // (tools/determinism_lint.py, rule `publication-order`): the snapshot
-    // pointer is release-stored before the epoch counter, so a reader that
-    // acquires the new epoch and re-fetches is guaranteed a snapshot at least
-    // that new — the SSP refresh rule's "staleness clamps to 0" proof in
-    // SnapshotReader::refresh() leans on exactly this pairing.
+    // pointer is stored under the slot lock — its unlock is the release —
+    // before the epoch counter is release-stored, so a reader that acquires
+    // the new epoch and then takes the slot lock is guaranteed a snapshot at
+    // least that new — the SSP refresh rule's "staleness clamps to 0" proof
+    // in SnapshotReader::refresh() leans on exactly this pairing. The old
+    // snapshot is released after the unlock, outside the slot.
     // publication-order[1]
-    latest_.store(std::move(snap), std::memory_order_release);
+    {
+      const MutexLock lock(latest_mutex_);
+      latest_.swap(snap);
+    }
+    snap.reset();
     // publication-order[2]
     published_epoch_.store(epoch, std::memory_order_release);
 

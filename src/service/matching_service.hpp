@@ -1,7 +1,7 @@
 #pragma once
 
 /// `bmf::MatchingService` — a long-lived matching front-end with versioned
-/// wait-free snapshot reads (the read-dominated production story over the
+/// cached snapshot reads (the read-dominated production story over the
 /// dynamic engines; see docs/service.md).
 ///
 /// ## Architecture
@@ -14,9 +14,11 @@
 /// queue is merely the batching boundary. After each committed batch the
 /// writer *publishes an epoch*: an immutable `MatchingSnapshot` (compact mate
 /// array + size + epoch id, exported by the replay core's snapshot hook)
-/// installed by an atomic pointer swap. Reader threads answer `mate_of` /
-/// `is_matched` / `size` from their `SnapshotReader` handle's cached snapshot
-/// — plain loads off immutable memory, no locks, never blocked by the writer.
+/// installed in a mutex-guarded publish slot. Reader threads answer `mate_of`
+/// / `is_matched` / `size` from their `SnapshotReader` handle's cached
+/// snapshot — plain loads off immutable memory, no locks, never blocked by
+/// the writer. Only a refresh (below) touches the slot, for one shared_ptr
+/// copy under its lock; the writer holds the same lock for one pointer swap.
 ///
 /// ## Bounded staleness (Petuum SSP discipline)
 ///
@@ -114,7 +116,7 @@ struct ServiceStats {
 };
 
 /// A per-thread read handle: caches the latest fetched snapshot and answers
-/// `MatchingView` queries from it wait-free, refreshing per the SSP rule
+/// `MatchingView` queries from it without locks, refreshing per the SSP rule
 /// (file comment). Construct one per reader thread — a handle itself is not
 /// thread-safe, but any number of handles read concurrently with the writer.
 /// Registration is automatic; the destructor deregisters (and wakes a
@@ -203,8 +205,10 @@ class MatchingService {
   /// The latest published snapshot (epoch 0 exists from construction).
   /// Direct use bypasses SSP accounting — readers should normally go through
   /// a `SnapshotReader`.
-  [[nodiscard]] std::shared_ptr<const MatchingSnapshot> latest() const {
-    return latest_.load(std::memory_order_acquire);
+  [[nodiscard]] std::shared_ptr<const MatchingSnapshot> latest() const
+      BMF_EXCLUDES(latest_mutex_) {
+    const MutexLock lock(latest_mutex_);
+    return latest_;
   }
   /// The highest published epoch id.
   [[nodiscard]] std::int64_t current_epoch() const {
@@ -247,7 +251,13 @@ class MatchingService {
   ReplayEngine* engine_;
 
   BoundedQueue<EdgeUpdate> queue_;
-  std::atomic<std::shared_ptr<const MatchingSnapshot>> latest_;
+  /// The publish slot. A leaf lock (lock_order_manifest.json): held only for
+  /// the writer's pointer swap and a refresh's pointer copy, never around
+  /// another acquisition. Not a std::atomic<std::shared_ptr>: libstdc++'s
+  /// lock-bit implementation of that is itself a spinlock, and its relaxed
+  /// unlock around the plain pointer read is a data race under TSan.
+  mutable Mutex latest_mutex_;
+  std::shared_ptr<const MatchingSnapshot> latest_ BMF_GUARDED_BY(latest_mutex_);
   std::atomic<std::int64_t> published_epoch_{0};
   std::atomic<std::int64_t> submitted_{0};
   std::atomic<std::int64_t> committed_{0};

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <vector>
+
 #include "core/structures.hpp"
 #include "matching/matching.hpp"
 
@@ -399,6 +403,153 @@ TEST(StructureForest, OpsCountersTrackOperations) {
   f.begin_pass_bundle(1000);
   EXPECT_EQ(f.ops_this_bundle(), 0);
   EXPECT_EQ(f.totals().overtake_unvisited, 1);
+}
+
+// ---- change log (the H' frontier gate's input) ---------------------------
+
+/// The log entries appended since `from`, sorted.
+std::vector<Vertex> logged_since(const StructureForest& f, std::size_t from) {
+  const std::vector<Vertex>& log = f.change_log();
+  std::vector<Vertex> out(log.begin() + static_cast<std::ptrdiff_t>(from),
+                          log.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(StructureForestChangeLog, OvertakeCase1LogsTheNewOuterVertex) {
+  const Graph g = make_graph(3, std::vector<Edge>{{0, 1}, {1, 2}});
+  Matching m(3);
+  m.add(1, 2);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  EXPECT_TRUE(f.change_log().empty());
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);
+  EXPECT_EQ(f.change_log(), (std::vector<Vertex>{2}));  // t, not inner v
+}
+
+TEST(StructureForestChangeLog, OvertakeCase21LogsNothing) {
+  // Same graph as OvertakeCase21ReparentsWithinStructure: the re-parented
+  // subtree keeps its structure and its outer/inner status.
+  const Graph g = make_graph(
+      9, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6},
+                           {0, 7}, {7, 8}, {8, 5}});
+  Matching m(9);
+  m.add(1, 2);
+  m.add(3, 4);
+  m.add(5, 6);
+  m.add(7, 8);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);
+  f.begin_pass_bundle(1000);
+  f.overtake(2, 3, 2);
+  f.begin_pass_bundle(1000);
+  f.overtake(4, 5, 3);
+  for (int i = 0; i < 3; ++i) {
+    f.begin_pass_bundle(1000);
+    f.backtrack_stuck();
+  }
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 7, 1);
+  EXPECT_EQ(f.change_log(), (std::vector<Vertex>{2, 4, 6, 8}));
+  f.begin_pass_bundle(1000);
+  f.overtake(8, 5, 2);
+  ASSERT_EQ(f.totals().overtake_same, 1);
+  EXPECT_EQ(f.change_log().size(), 4u);
+}
+
+TEST(StructureForestChangeLog, StealLogsTheMovedVertices) {
+  // The Figure 2 steal of OvertakeCase22StealsSubtreeAndWorkingVertex: the
+  // subtree {1, 2} moves from S_beta to S_alpha.
+  const Graph g = make_graph(
+      11, std::vector<Edge>{{10, 5}, {5, 6}, {6, 1}, {1, 2}, {0, 1}});
+  Matching m(11);
+  m.add(5, 6);
+  m.add(1, 2);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  f.begin_pass_bundle(1000);
+  f.overtake(10, 5, 1);
+  f.begin_pass_bundle(1000);
+  f.overtake(6, 1, 2);
+  EXPECT_EQ(f.change_log(), (std::vector<Vertex>{6, 2}));
+  const std::size_t before = f.change_log().size();
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);
+  ASSERT_EQ(f.totals().overtake_steal, 1);
+  EXPECT_EQ(logged_since(f, before), (std::vector<Vertex>{1, 2}));
+}
+
+TEST(StructureForestChangeLog, ContractLogsTheAbsorbedInnerVertices) {
+  // The 5-cycle of ContractThenPathThroughNestedBlossom: contracting it turns
+  // inner 1 and 3 outer; 0, 2 and 4 were outer already.
+  const Graph g = make_graph(
+      6, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {2, 5}});
+  Matching m(6);
+  m.add(1, 2);
+  m.add(3, 4);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);
+  f.begin_pass_bundle(1000);
+  f.overtake(2, 3, 2);
+  const std::size_t before = f.change_log().size();
+  f.begin_pass_bundle(1000);
+  f.contract(4, 0);
+  EXPECT_EQ(logged_since(f, before), (std::vector<Vertex>{1, 3}));
+}
+
+TEST(StructureForestChangeLog, AugmentBacktrackAndBundleStartLogNothing) {
+  const Graph g = make_graph(
+      7, std::vector<Edge>{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}});
+  Matching m(7);
+  m.add(1, 2);
+  m.add(4, 5);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);  // logs 2
+  const std::size_t before = f.change_log().size();
+  f.begin_pass_bundle(1000);
+  f.backtrack_stuck();
+  f.begin_pass_bundle(1);  // puts the size-3 structure on hold
+  ASSERT_TRUE(f.can_augment(2, 3));
+  f.augment(2, 3);
+  f.backtrack_stuck();
+  ASSERT_EQ(f.totals().augments, 1);
+  ASSERT_GE(f.totals().backtracks, 1);
+  EXPECT_EQ(f.change_log().size(), before);
+}
+
+TEST(StructureForestChangeLog, MarkTracksTheLogAndInitPhaseClearsBoth) {
+  const Graph g = make_graph(3, std::vector<Edge>{{0, 1}, {1, 2}});
+  Matching m(3);
+  m.add(1, 2);
+  const CoreConfig cfg = checked_config();
+  StructureForest f(g, m, cfg);
+  f.init_phase();
+  EXPECT_EQ(f.empty_structure_graph_mark(), -1);
+  f.mark_structure_graph_empty();
+  EXPECT_EQ(f.empty_structure_graph_mark(), 0);
+  f.begin_pass_bundle(1000);
+  f.overtake(0, 1, 1);
+  EXPECT_EQ(f.empty_structure_graph_mark(), 0);  // the mark stays put
+  f.mark_structure_graph_empty();
+  EXPECT_EQ(f.empty_structure_graph_mark(), 1);
+  f.clear_structure_graph_mark();
+  EXPECT_EQ(f.empty_structure_graph_mark(), -1);
+  f.mark_structure_graph_empty();
+  f.init_phase();
+  EXPECT_TRUE(f.change_log().empty());
+  EXPECT_EQ(f.empty_structure_graph_mark(), -1);
 }
 
 }  // namespace

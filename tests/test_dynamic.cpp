@@ -177,6 +177,21 @@ TEST(StaticWeak, SampledOnlyModeStaysReasonable) {
   EXPECT_GT(r.sampled_iterations, 0);
 }
 
+TEST(StaticWeak, SampledOnlyModeStillContracts) {
+  // The type-1 contraction pass belongs to Contract-and-Augment itself, not
+  // to the exhaustive fallback: odd cycles must still be contracted without
+  // it.
+  const Graph g = gen_odd_cycles(6, 7);
+  MatrixWeakOracle oracle = MatrixWeakOracle::from_graph(g);
+  WeakSimConfig cfg;
+  cfg.core.eps = 0.25;
+  cfg.core.seed = 5;
+  cfg.exhaustive_fallback = false;
+  const WeakBoostResult r = static_weak_matching(g, oracle, cfg);
+  EXPECT_TRUE(r.matching.is_valid_in(g));
+  EXPECT_GT(r.outcome.ops.contracts, 0);
+}
+
 TEST(DynamicMatcher, InsertOnlySequenceStaysApproximate) {
   const Vertex n = 60;
   MatrixWeakOracle oracle(n);

@@ -22,7 +22,10 @@ block-scoped lifetimes recoverable structurally:
 Failures: any cycle in the observed graph, and any observed edge absent
 from the checked-in whitelist (``lock_order_manifest.json`` →
 ``allowed_edges``). The manifest itself is also checked for cycles so the
-whitelist cannot quietly bless a deadlock.
+whitelist cannot quietly bless a deadlock. Mutexes listed under
+``leaf_mutexes`` may be acquired under other locks (a declared edge) but
+nothing may be acquired while one is held — neither observed nor
+whitelisted.
 """
 
 from __future__ import annotations
@@ -288,6 +291,18 @@ def check(
             )
         )
 
+    leaves = set(manifest.get("leaf_mutexes", []))
+    for src, dst in sorted(allowed):
+        if src in leaves:
+            findings.append(
+                sm.Finding(
+                    "lock_order_manifest.json",
+                    1,
+                    "lock-order",
+                    f"allowed_edges nests {dst} under the leaf mutex {src}",
+                )
+            )
+
     observed: dict[tuple[str, str], Edge] = {}
     for e in edges:
         observed.setdefault((e.src, e.dst), e)
@@ -317,10 +332,22 @@ def check(
         )
 
     for (src, dst), e in sorted(observed.items()):
-        if (src, dst) not in allowed:
+        if src in leaves or (src, dst) not in allowed:
             sf = next((f for f in files if f.path == e.path), None)
             idx = e.line - 1
             if sf is not None and sm.allowed(sf.raw_lines, idx, "lock-order"):
+                continue
+            if src in leaves:
+                findings.append(
+                    sm.Finding(
+                        e.path,
+                        e.line,
+                        "lock-order",
+                        f"acquires {dst} while holding the leaf mutex {src} "
+                        f"({e.note}); a leaf lock guards one short critical "
+                        "section and nests nothing",
+                    )
+                )
                 continue
             findings.append(
                 sm.Finding(

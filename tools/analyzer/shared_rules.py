@@ -5,19 +5,34 @@ it now has exactly one implementation here. Both tools call
 ``check_publication_order`` and wrap the returned (line, message) pairs
 in their own finding types (each applies its own suppression syntax).
 
-The rule guards the PR 7 proof obligation in
-``src/service/matching_service.cpp``: the writer must release-store the
+The rule guards the publication proof obligation in
+``src/service/matching_service.cpp``: the writer must publish the
 snapshot pointer (``latest_``) *before* release-storing the epoch counter
 (``published_epoch_``) — a reader that observes epoch >= e is then
-guaranteed to observe snapshot e via the acquire load. The code marks the
-pair with ``publication-order[1]`` / ``publication-order[2]`` comments;
-the rule checks the markers exist, appear in order, and each sits
-immediately above the matching release store.
+guaranteed to observe snapshot e when it fetches the pointer. The code
+marks the pair with ``publication-order[1]`` / ``publication-order[2]``
+comments; the rule checks the markers exist, appear in order, and each
+sits immediately above the matching store. The snapshot store is either
+an atomic ``latest_.store(..., std::memory_order_release)`` or a write to
+a mutex-guarded slot (``latest_ = ...`` / ``latest_.swap(...)`` under a
+``MutexLock`` opened right below the marker), whose unlock is the release.
 """
 
 from __future__ import annotations
 
+import re
+
 RULE_NAME = "publication-order"
+
+SLOT_WRITE_RE = re.compile(r"\blatest_\s*(?:=(?!=)|\.swap\s*\()")
+
+
+def _is_release_store(stmt: str, want: str) -> bool:
+    return f"{want}.store" in stmt and "std::memory_order_release" in stmt
+
+
+def _is_locked_slot_write(stmt: str) -> bool:
+    return "MutexLock" in stmt and SLOT_WRITE_RE.search(stmt) is not None
 
 
 def check_publication_order(
@@ -55,20 +70,26 @@ def check_publication_order(
             )
         )
     else:
-        for marker, idx, want in (
-            ("publication-order[1]", marker1, "latest_"),
-            ("publication-order[2]", marker2, "published_epoch_"),
+        if not (
+            _is_release_store("\n".join(lines[marker1 + 1 : marker1 + 3]), "latest_")
+            or _is_locked_slot_write("\n".join(lines[marker1 + 1 : marker1 + 4]))
         ):
-            stmt = "\n".join(lines[idx + 1 : idx + 3])
-            if (
-                f"{want}.store" not in stmt
-                or "std::memory_order_release" not in stmt
-            ):
-                findings.append(
-                    (
-                        idx,
-                        f"{marker} must be immediately followed by "
-                        f"{want}.store(..., std::memory_order_release)",
-                    )
+            findings.append(
+                (
+                    marker1,
+                    "publication-order[1] must be immediately followed by "
+                    "latest_.store(..., std::memory_order_release) or a "
+                    "MutexLock-guarded latest_ write",
                 )
+            )
+        if not _is_release_store(
+            "\n".join(lines[marker2 + 1 : marker2 + 3]), "published_epoch_"
+        ):
+            findings.append(
+                (
+                    marker2,
+                    "publication-order[2] must be immediately followed by "
+                    "published_epoch_.store(..., std::memory_order_release)",
+                )
+            )
     return findings

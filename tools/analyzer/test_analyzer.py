@@ -39,6 +39,7 @@ BAD_EXPECTATIONS = {
     "src/core/taint_helper.cpp": {"unordered-order-taint"},
     "src/dynamic/taint_ptr_sort.cpp": {"unordered-order-taint"},
     "src/dynamic/ledger_in_lambda.cpp": {"single-writer-ledger"},
+    "src/service/lock_leaf_nested.cpp": {"lock-order"},
     "src/service/lock_undeclared.cpp": {"lock-order"},
     "src/service/publication_pairing.cpp": {"publication-order"},
     "src/service/relaxed_unmarked.cpp": {"relaxed-audit"},
@@ -101,6 +102,32 @@ class BadFixtures(unittest.TestCase):
         cycles = [f for f in findings if "cycle" in f.message]
         self.assertEqual(1, len(cycles), [f.render() for f in findings])
         self.assertIn("CyclePool::a_ -> CyclePool::b_", cycles[0].message)
+
+    def test_leaf_nesting_names_the_leaf(self):
+        findings = analyze(
+            [os.path.join(FIXTURES, "bad", "src/service/lock_leaf_nested.cpp")],
+            fixture_manifest(),
+        )
+        self.assertTrue(
+            any(
+                "leaf mutex NestingSlot::slot_mutex_" in f.message
+                for f in findings
+            ),
+            [f.render() for f in findings],
+        )
+
+    def test_manifest_edge_under_a_leaf_is_rejected(self):
+        manifest = dict(fixture_manifest())
+        manifest["allowed_edges"] = manifest["allowed_edges"] + [
+            ["LeafSlot::slot_mutex_", "LeafSlot::stats_mutex_"]
+        ]
+        findings = analyze(
+            [os.path.join(FIXTURES, "good", "src/service/lock_leaf_nested.cpp")],
+            manifest,
+        )
+        self.assertEqual(
+            ["lock_order_manifest.json"], [f.path for f in findings]
+        )
 
     def test_ledger_catches_helper_one_level_down(self):
         findings = analyze(
@@ -173,6 +200,18 @@ class RealTree(unittest.TestCase):
                 observed |= {(e.src, e.dst) for e in edges}
         for edge in default_manifest()["allowed_edges"]:
             self.assertIn(tuple(edge), observed)
+
+    def test_leaf_mutexes_are_declared_in_src(self):
+        # A renamed or deleted leaf would make its manifest entry vacuous.
+        files = [
+            sm.parse_file(p)
+            for p in sm.collect_files([os.path.join(REPO, "src")])
+        ]
+        declared = set()
+        for quals in rules_locks._Registry(files).mutexes.values():
+            declared |= quals
+        for leaf in default_manifest()["leaf_mutexes"]:
+            self.assertIn(leaf, declared)
 
     def test_relaxed_sites_in_src_are_all_justified(self):
         # Every memory_order_relaxed in src/ carries a relaxed-ok reason —
