@@ -3,15 +3,10 @@
 #include <algorithm>
 
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace bmf {
 
 namespace {
-
-// Same size gate as DynGraph's batched entry points: a batch smaller than
-// this runs serially inline (the pool round-trip would dominate).
-constexpr std::int64_t kSmallBatchMin = 32;
 
 void insert_sorted(std::vector<Vertex>& xs, Vertex y) {
   const auto it = std::lower_bound(xs.begin(), xs.end(), y);
@@ -139,47 +134,38 @@ bool CompressedAdjacencyStore::toggle(const EdgeUpdate& up) {
 
 void CompressedAdjacencyStore::apply_adjacency(
     std::span<const EdgeUpdate> updates,
-    std::span<const std::uint8_t> structural, int threads) {
+    std::span<const std::uint8_t> structural) {
   BMF_REQUIRE(structural.size() == updates.size(),
               "CompressedAdjacencyStore::apply_adjacency: flag span size "
               "mismatch");
-  // Serial bookkeeping first (edge/delta counters, stats): `csr_contains` is
-  // stable during the batch — the body only changes at merge_deltas().
-  for (std::size_t i = 0; i < updates.size(); ++i)
-    if (structural[i]) account_structural(updates[i]);
-  // The structural updates have pairwise-disjoint endpoints (the core's
-  // conflict-free prefix cut), so each row's delta state has exactly one
-  // writer and the halves parallelize without conflicts; `dirty_` writes hit
-  // distinct elements.
-  const int pool_threads = gated_threads(
-      static_cast<std::int64_t>(updates.size()), kSmallBatchMin, threads);
-  parallel_for_threads(pool_threads,
-                       static_cast<std::int64_t>(updates.size()),
-                       [&](std::int64_t i) {
-                         const auto k = static_cast<std::size_t>(i);
-                         if (!structural[k]) return;
-                         const EdgeUpdate& up = updates[k];
-                         if (up.insert) {
-                           insert_half(up.u, up.v);
-                           insert_half(up.v, up.u);
-                         } else {
-                           erase_half(up.u, up.v);
-                           erase_half(up.v, up.u);
-                         }
-                       });
+  // `csr_contains` is stable during the batch — the body only changes at
+  // merge_deltas() — and the core's conflict-free prefix cut gives the
+  // structural updates pairwise-disjoint endpoints.
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    if (!structural[i]) continue;
+    const EdgeUpdate& up = updates[i];
+    account_structural(up);
+    if (up.insert) {
+      insert_half(up.u, up.v);
+      insert_half(up.v, up.u);
+    } else {
+      erase_half(up.u, up.v);
+      erase_half(up.v, up.u);
+    }
+  }
 }
 
 void CompressedAdjacencyStore::apply_structural(
     std::span<const EdgeUpdate> updates,
-    std::span<const std::uint8_t> structural, int threads) {
-  apply_adjacency(updates, structural, threads);
-  oracle_.on_batch(updates, structural, threads);
+    std::span<const std::uint8_t> structural) {
+  apply_adjacency(updates, structural);
+  oracle_.on_batch(updates, structural, /*threads=*/1);
 }
 
 void CompressedAdjacencyStore::flush_oracle(
     std::span<const EdgeUpdate> updates,
-    std::span<const std::uint8_t> structural, int threads) {
-  oracle_.on_batch(updates, structural, threads);
+    std::span<const std::uint8_t> structural) {
+  oracle_.on_batch(updates, structural, /*threads=*/1);
 }
 
 void CompressedAdjacencyStore::merge_deltas() {

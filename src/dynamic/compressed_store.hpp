@@ -85,11 +85,11 @@ class CompressedAdjacencyStore {
   bool toggle(const EdgeUpdate& up);
 
   void apply_structural(std::span<const EdgeUpdate> updates,
-                        std::span<const std::uint8_t> structural, int threads);
+                        std::span<const std::uint8_t> structural);
   void apply_adjacency(std::span<const EdgeUpdate> updates,
-                       std::span<const std::uint8_t> structural, int threads);
+                       std::span<const std::uint8_t> structural);
   void flush_oracle(std::span<const EdgeUpdate> updates,
-                    std::span<const std::uint8_t> structural, int threads);
+                    std::span<const std::uint8_t> structural);
 
   [[nodiscard]] RebuildParticipation& rebuild_participation() {
     return participation_;
@@ -127,13 +127,12 @@ class CompressedAdjacencyStore {
   /// Copies the CSR row into `merged` on first touch and marks the row dirty.
   void materialize(Vertex v);
   /// One directed half of an insert/erase whose presence change is already
-  /// established. Touches only row x's state — safe to run in parallel over
-  /// updates with pairwise-disjoint endpoints.
+  /// established. Touches only row x's state.
   void insert_half(Vertex x, Vertex y);
   void erase_half(Vertex x, Vertex y);
   bool insert_edge(Vertex u, Vertex v);
   bool erase_edge(Vertex u, Vertex v);
-  /// Serial bookkeeping shared by toggle and the batch entry points: edge
+  /// Bookkeeping shared by toggle and the batch entry points: edge
   /// count, directed delta-entry count, stats. `csr_contains` tells whether
   /// the op re-toggles a base edge (shrinking a buffer) or a delta edge.
   void account_structural(const EdgeUpdate& up);
@@ -145,7 +144,7 @@ class CompressedAdjacencyStore {
   std::vector<std::int64_t> offsets_;  // size n_ + 1
   std::vector<Vertex> csr_;            // size 2m at last fold
   std::vector<DeltaRow> delta_;
-  std::vector<std::uint8_t> dirty_;  // element-wise writes are parallel-safe
+  std::vector<std::uint8_t> dirty_;
   CompressedRebuildParticipation participation_;
   CompressedStoreStats stats_;
 };

@@ -31,13 +31,13 @@
 ///   bool toggle(const EdgeUpdate&);   // adjacency + oracle; true iff the
 ///                                     // update changed edge presence
 ///   // Batched application of a structural subset with pairwise-disjoint
-///   // endpoints (flags[i] != 0 selects); `apply_structural` maintains
-///   // adjacency and oracle together, the split pair defers the oracle for
-///   // the rebuild-overlap path (never touch the oracle while rebuild
-///   // queries are in flight):
-///   void apply_structural(updates, flags, threads);
-///   void apply_adjacency(updates, flags, threads);
-///   void flush_oracle(updates, flags, threads);
+///   // endpoints (flags[i] != 0 selects), on the calling thread;
+///   // `apply_structural` maintains adjacency and oracle together, the split
+///   // pair defers the oracle for the rebuild-overlap path (never touch the
+///   // oracle while rebuild queries are in flight):
+///   void apply_structural(updates, flags);
+///   void apply_adjacency(updates, flags);
+///   void flush_oracle(updates, flags);
 ///   // Rebuild participation (core/framework.hpp): the policy object the
 ///   // Theorem 6.2 boost's H'/H'_s exhaustion sweeps fan out through —
 ///   // shard-local candidate sweeps merged by the coordinator in canonical
@@ -62,16 +62,24 @@
 ///
 /// `apply_batch` cuts the batch into maximal *conflict-free prefixes* (runs
 /// of updates with pairwise-disjoint endpoints, none deleting a currently
-/// matched edge), evaluates per-update decisions concurrently against the
-/// pre-prefix state, replays the rebuild budget serially to truncate the
-/// prefix at the exact sequential trigger position, applies structural
-/// mutations batch-parallel, and commits matching changes serially in update
-/// order. Heavy deletion runs (consecutive matched-edge deletions with
-/// disjoint endpoints) take the parallel reservation rematch: a worst-case
-/// budget replay bounds the run so no rebuild can fire inside it, each freed
-/// endpoint concurrently reserves its ascending possibly-free candidate
-/// list, and a serial in-order commit takes the first still-free candidate —
-/// exactly the sequential minimum-free-neighbor repair.
+/// matched edge), evaluates per-update decisions against the pre-prefix
+/// state, replays the rebuild budget to truncate the prefix at the exact
+/// sequential trigger position, hands the structural subset to the store as
+/// one batch, and commits matching changes in update order. Heavy deletion
+/// runs (consecutive matched-edge deletions with disjoint endpoints) take the
+/// reservation rematch: a worst-case budget replay bounds the run so no
+/// rebuild can fire inside it, each freed endpoint reserves its ascending
+/// possibly-free candidate list, and an in-order commit takes the first
+/// still-free candidate — exactly the sequential minimum-free-neighbor
+/// repair.
+///
+/// All of that runs inline on the calling thread. Between rebuilds an update
+/// costs O(1) work (Theorem 7.1), and a conflict-free prefix ends at the
+/// first repeated endpoint — on uniform streams after about sqrt(n) updates,
+/// whatever the batch size: far too little work to pay for a pool fan-out
+/// (docs/ablation.md). `threads` buys only the two jobs that do pay: the
+/// overlapped rebuild's dedicated thread (below) and the rebuild's internal
+/// H'/H'_s discovery fan-out.
 ///
 /// ## Rebuild/update overlap with pre-classified deletion windows
 ///
@@ -126,9 +134,11 @@ struct DynamicCoreConfig {
   /// Updates between rebuilds; 0 = adaptive max(1, floor(eps*|M|/4)).
   std::int64_t rebuild_every = 0;
   std::uint64_t seed = 1;
-  /// Thread-pool fan-out for `apply_batch` and for the Theorem 6.2 rebuild's
-  /// internal H'/H'_s discovery (forced into `sim.core.threads`; 0 = hardware
-  /// concurrency, 1 = serial). Results are bit-identical at any setting.
+  /// Rebuild parallelism: the Theorem 6.2 rebuild's internal H'/H'_s
+  /// discovery fan-out (forced into `sim.core.threads`) and, above 1, the
+  /// batched path with its overlapped rebuild thread (0 = hardware
+  /// concurrency, 1 = serial). The update path itself always runs on the
+  /// calling thread. Results are bit-identical at any setting.
   int threads = 0;
   /// Overlap an armed rebuild (dedicated thread, snapshot + matching copy)
   /// with the next conflict-free window's graph mutations, including
@@ -247,22 +257,22 @@ concept HasToggle = requires(S& s, const EdgeUpdate& up) {
 template <class S>
 concept HasApplyStructural =
     requires(S& s, std::span<const EdgeUpdate> ups,
-             std::span<const std::uint8_t> flags, int threads) {
-      s.apply_structural(ups, flags, threads);
+             std::span<const std::uint8_t> flags) {
+      s.apply_structural(ups, flags);
     };
 
 template <class S>
 concept HasApplyAdjacency =
     requires(S& s, std::span<const EdgeUpdate> ups,
-             std::span<const std::uint8_t> flags, int threads) {
-      s.apply_adjacency(ups, flags, threads);
+             std::span<const std::uint8_t> flags) {
+      s.apply_adjacency(ups, flags);
     };
 
 template <class S>
 concept HasFlushOracle =
     requires(S& s, std::span<const EdgeUpdate> ups,
-             std::span<const std::uint8_t> flags, int threads) {
-      s.flush_oracle(ups, flags, threads);
+             std::span<const std::uint8_t> flags) {
+      s.flush_oracle(ups, flags);
     };
 
 template <class S>
@@ -320,17 +330,17 @@ class FlatAdjacencyStore {
   }
 
   void apply_structural(std::span<const EdgeUpdate> updates,
-                        std::span<const std::uint8_t> structural, int threads) {
-    g_.apply_structural_disjoint(updates, structural, threads);
-    oracle_.on_batch(updates, structural, threads);
+                        std::span<const std::uint8_t> structural) {
+    g_.apply_structural_disjoint(updates, structural);
+    oracle_.on_batch(updates, structural, /*threads=*/1);
   }
   void apply_adjacency(std::span<const EdgeUpdate> updates,
-                       std::span<const std::uint8_t> structural, int threads) {
-    g_.apply_structural_disjoint(updates, structural, threads);
+                       std::span<const std::uint8_t> structural) {
+    g_.apply_structural_disjoint(updates, structural);
   }
   void flush_oracle(std::span<const EdgeUpdate> updates,
-                    std::span<const std::uint8_t> structural, int threads) {
-    oracle_.on_batch(updates, structural, threads);
+                    std::span<const std::uint8_t> structural) {
+    oracle_.on_batch(updates, structural, /*threads=*/1);
   }
 
   /// The trivial single-participant policy: every rebuild sweep scans the
@@ -380,13 +390,13 @@ class DynamicReplayCore {
                 "'bool toggle(const EdgeUpdate&)'");
   static_assert(store_contract::HasApplyStructural<Store>,
                 "AdjacencyStore contract: missing "
-                "'void apply_structural(updates, flags, threads)'");
+                "'void apply_structural(updates, flags)'");
   static_assert(store_contract::HasApplyAdjacency<Store>,
                 "AdjacencyStore contract: missing "
-                "'void apply_adjacency(updates, flags, threads)'");
+                "'void apply_adjacency(updates, flags)'");
   static_assert(store_contract::HasFlushOracle<Store>,
                 "AdjacencyStore contract: missing "
-                "'void flush_oracle(updates, flags, threads)'");
+                "'void flush_oracle(updates, flags)'");
   static_assert(store_contract::HasRebuildParticipation<Store>,
                 "AdjacencyStore contract: missing "
                 "'RebuildParticipation& rebuild_participation()'");
@@ -417,12 +427,10 @@ class DynamicReplayCore {
   void apply_batch(std::span<const EdgeUpdate> batch) {
     const Vertex n = store_.num_vertices();
     for (const EdgeUpdate& up : batch)
-      BMF_REQUIRE(up.empty() || (up.u >= 0 && up.u < n && up.v >= 0 && up.v < n &&
-                                 up.u != up.v),
-                  "DynamicReplayCore::apply_batch: invalid update");
+      BMF_REQUIRE(up.valid_for(n), "DynamicReplayCore::apply_batch: invalid update");
     const int threads = ThreadPool::resolve_threads(cfg_.threads);
     if (!store_.use_batch_engine(threads)) {
-      // The batch engine only buys anything with real concurrency (or real
+      // The batch engine only buys anything with an overlap thread (or real
       // shards); the serial loop is the reference semantics.
       for (const EdgeUpdate& up : batch) apply(up);
       return;
@@ -432,7 +440,7 @@ class DynamicReplayCore {
       if (is_heavy(batch[i])) {
         const std::size_t run = heavy_run_length(batch.subspan(i));
         if (run >= 2) {
-          i += apply_heavy_run(batch.subspan(i, run), threads);
+          i += apply_heavy_run(batch.subspan(i, run));
         } else {
           // An isolated heavy deletion: the reservation machinery buys
           // nothing.
@@ -442,12 +450,12 @@ class DynamicReplayCore {
         continue;
       }
       const std::size_t len = light_prefix_length(batch.subspan(i));
-      const PrefixOutcome got = apply_light_prefix(batch.subspan(i, len), threads);
+      const PrefixOutcome got = apply_light_prefix(batch.subspan(i, len));
       i += got.consumed;
       if (got.fired) {
         arm_rebuild();
         if (cfg_.overlap_rebuild && threads > 1) {
-          i += rebuild_overlapped(batch.subspan(i), threads);
+          i += rebuild_overlapped(batch.subspan(i));
         } else {
           rebuild();
         }
@@ -598,10 +606,10 @@ class DynamicReplayCore {
     return j;
   }
 
-  /// Parallel reservation rematch over a heavy run (see the file comment);
-  /// returns how many deletions were consumed (the run is truncated to the
+  /// Reservation rematch over a heavy run (see the file comment); returns
+  /// how many deletions were consumed (the run is truncated to the
   /// worst-case rebuild-free bound; 0 forces one serial `apply`).
-  std::size_t apply_heavy_run(std::span<const EdgeUpdate> run, int threads) {
+  std::size_t apply_heavy_run(std::span<const EdgeUpdate> run) {
     // Worst-case budget replay: |M| drops by at most one per deletion and
     // rebuild_budget is nondecreasing in |M|, so while
     // since_rebuild_ + i < rebuild_budget(|M| - i) no rebuild can fire at
@@ -621,38 +629,30 @@ class DynamicReplayCore {
     run = run.first(static_cast<std::size_t>(safe));
 
     // Every run member deletes a currently matched (hence present) edge, so
-    // the whole run is structural: delete batch-parallel, maintain the
-    // oracle.
+    // the whole run is structural: delete as one batch, maintain the oracle.
     structural_.assign(run.size(), 1);
     const std::span<const std::uint8_t> flags(structural_.data(), run.size());
-    store_.apply_structural(run, flags, threads);
+    store_.apply_structural(run, flags);
 
-    // Reservation scan (parallel, read-only): endpoint 2i / 2i+1 collects the
-    // ascending list of neighbors that can possibly be free at its commit
-    // turn — free before the run, or freed by an earlier deletion of the run.
-    // Deleting the run's matched edges does not change any other endpoint's
-    // adjacency (endpoints are disjoint), so the post-deletion neighbor scan
-    // equals the sequential at-time scan.
+    // Reservation scan (read-only): endpoint 2i / 2i+1 collects the ascending
+    // list of neighbors that can possibly be free at its commit turn — free
+    // before the run, or freed by an earlier deletion of the run. Deleting
+    // the run's matched edges does not change any other endpoint's adjacency
+    // (endpoints are disjoint), so the post-deletion neighbor scan equals the
+    // sequential at-time scan.
     std::vector<std::vector<Vertex>> cand(2 * run.size());
-    // Short runs scan inline; the pool round-trip would dominate.
-    const int scan_threads =
-        gated_threads(static_cast<std::int64_t>(run.size()), 8, threads);
-    parallel_for_threads(
-        scan_threads, static_cast<std::int64_t>(2 * run.size()),
-        [&](std::int64_t k) {
-          const auto i = static_cast<std::size_t>(k / 2);
-          const Vertex x = (k % 2 == 0) ? run[i].u : run[i].v;
-          auto& out = cand[static_cast<std::size_t>(k)];
-          for (Vertex nb : store_.neighbors(x)) {
-            const auto nbi = static_cast<std::size_t>(nb);
-            if (m_.is_free(nb) ||
-                (mark_[nbi] == epoch_ &&
-                 heavy_index_[nbi] < static_cast<std::int32_t>(i)))
-              out.push_back(nb);
-          }
-        });
+    for (std::size_t k = 0; k < cand.size(); ++k) {
+      const std::size_t i = k / 2;
+      const Vertex x = (k % 2 == 0) ? run[i].u : run[i].v;
+      for (Vertex nb : store_.neighbors(x)) {
+        const auto nbi = static_cast<std::size_t>(nb);
+        if (m_.is_free(nb) || (mark_[nbi] == epoch_ &&
+                               heavy_index_[nbi] < static_cast<std::int32_t>(i)))
+          cand[k].push_back(nb);
+      }
+    }
 
-    // Serial commit in update order: unmatch the pair, then rematch each
+    // Commit in update order: unmatch the pair, then rematch each
     // freed endpoint with its first still-free reserved neighbor — the
     // sequential minimum-free-neighbor repair, endpoint for endpoint.
     for (std::size_t i = 0; i < run.size(); ++i) {
@@ -677,32 +677,27 @@ class DynamicReplayCore {
   /// Processes a conflict-free prefix; reports how many updates were
   /// consumed (the prefix is truncated at the first rebuild trigger) and
   /// whether the caller must now arm a rebuild.
-  PrefixOutcome apply_light_prefix(std::span<const EdgeUpdate> prefix,
-                                   int threads) {
-    const auto len = static_cast<std::int64_t>(prefix.size());
+  PrefixOutcome apply_light_prefix(std::span<const EdgeUpdate> prefix) {
     structural_.assign(prefix.size(), 0);
     match_.assign(prefix.size(), 0);
 
     // Decisions read only the update's own endpoints (untouched by the rest
-    // of the prefix), so concurrent evaluation against the pre-prefix state
-    // equals the sequential decisions exactly. Short prefixes evaluate
-    // inline.
-    const int decision_threads = gated_threads(len, 32, threads);
-    parallel_for_threads(decision_threads, len, [&](std::int64_t i) {
-      const auto k = static_cast<std::size_t>(i);
+    // of the prefix), so evaluating them all against the pre-prefix state
+    // equals the sequential decisions exactly.
+    for (std::size_t k = 0; k < prefix.size(); ++k) {
       const EdgeUpdate& up = prefix[k];
-      if (up.empty()) return;
+      if (up.empty()) continue;
       if (up.insert) {
         if (!store_.has_edge(up.u, up.v)) {
           structural_[k] = 1;
           if (m_.is_free(up.u) && m_.is_free(up.v)) match_[k] = 1;
         }
-      } else {
+      } else if (store_.has_edge(up.u, up.v)) {
         // Matched deletions never enter a prefix, so a structural deletion
         // here is of an unmatched edge and needs no repair.
-        if (store_.has_edge(up.u, up.v)) structural_[k] = 1;
+        structural_[k] = 1;
       }
-    });
+    }
 
     // Replay the rebuild budget to find where maybe_rebuild() would fire in
     // the sequential loop; truncate the prefix there (inclusive).
@@ -724,7 +719,7 @@ class DynamicReplayCore {
 
     const auto committed = prefix.first(cut);
     const auto flags = std::span<const std::uint8_t>(structural_).first(cut);
-    store_.apply_structural(committed, flags, threads);
+    store_.apply_structural(committed, flags);
     for (std::size_t k = 0; k < cut; ++k) {
       ++updates_;
       ++since_rebuild_;
@@ -738,7 +733,7 @@ class DynamicReplayCore {
   /// pre-classified light against the pre-rebuild matching (see the file
   /// comment); returns how many window updates were consumed. Caller must
   /// have called arm_rebuild().
-  std::size_t rebuild_overlapped(std::span<const EdgeUpdate> rest, int threads) {
+  std::size_t rebuild_overlapped(std::span<const EdgeUpdate> rest) {
     // The window is bounded by the worst-case post-rebuild budget: boosting
     // never shrinks the matching and (predictions holding) the window's
     // deletions are light, so |M| stays >= its arm-time size and the first
@@ -814,21 +809,13 @@ class DynamicReplayCore {
     // for the join below. If anything here throws, DedicatedThread joins the
     // rebuild on unwind before `snapshot`/`base` leave scope.
     structural_.assign(window.size(), 0);
-    const int window_threads =
-        gated_threads(static_cast<std::int64_t>(window.size()), 32, threads);
-    parallel_for_threads(
-        window_threads, static_cast<std::int64_t>(window.size()),
-        [&](std::int64_t k) {
-          const EdgeUpdate& up = window[static_cast<std::size_t>(k)];
-          if (up.empty()) return;
-          if (store_.has_edge(up.u, up.v) != up.insert)
-            structural_[static_cast<std::size_t>(k)] = 1;
-        });
-    {
-      const std::span<const std::uint8_t> overlap_flags(structural_.data(),
-                                                        window.size());
-      store_.apply_adjacency(window, overlap_flags, threads);
+    for (std::size_t k = 0; k < window.size(); ++k) {
+      const EdgeUpdate& up = window[k];
+      if (!up.empty() && store_.has_edge(up.u, up.v) != up.insert)
+        structural_[k] = 1;
     }
+    const std::span<const std::uint8_t> flags(structural_.data(), window.size());
+    store_.apply_adjacency(window, flags);
     worker.join();
     {
       const MutexLock lock(slot.mu);
@@ -850,13 +837,12 @@ class DynamicReplayCore {
       }
     }
 
-    const std::span<const std::uint8_t> flags(structural_.data(), window.size());
     const std::size_t consumed = bad == window.size() ? window.size() : bad + 1;
     if (bad == window.size()) {
       // Every classification held: deferred oracle maintenance and serial
       // commits in update order — the final state equals the sequential
       // rebuild-then-apply loop exactly.
-      store_.flush_oracle(window, flags, threads);
+      store_.flush_oracle(window, flags);
       commit_overlap_prefix(window);
     } else {
       // Misprediction: the sequential loop would treat window[bad] as a
@@ -875,8 +861,8 @@ class DynamicReplayCore {
                                 ? EdgeUpdate::del(window[k].u, window[k].v)
                                 : EdgeUpdate::ins(window[k].u, window[k].v));
       const std::vector<std::uint8_t> all(inverse.size(), 1);
-      store_.apply_adjacency(inverse, all, threads);
-      store_.flush_oracle(window.first(bad + 1), flags.first(bad + 1), threads);
+      store_.apply_adjacency(inverse, all);
+      store_.flush_oracle(window.first(bad + 1), flags.first(bad + 1));
       commit_overlap_prefix(window.first(bad));
       ++updates_;
       ++since_rebuild_;

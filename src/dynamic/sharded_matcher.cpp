@@ -71,19 +71,17 @@ RoutedOps route_structural_ops(const VertexPartition& part,
 
 void ShardedMatrixOracle::on_batch(std::span<const EdgeUpdate> updates,
                                    std::span<const std::uint8_t> structural,
-                                   int threads) {
-  apply_ops(route_structural_ops(part_, updates, structural), threads);
+                                   int /*threads*/) {
+  apply_ops(route_structural_ops(part_, updates, structural));
 }
 
-void ShardedMatrixOracle::apply_ops(const RoutedOps& ops, int threads) {
-  parallel_for_threads(
-      gated_threads(ops.total_ops, 32, threads),
-      static_cast<std::int64_t>(ops.per_shard.size()), [&](std::int64_t s) {
-        BitMatrix& slice = slices_[static_cast<std::size_t>(s)];
-        const Vertex base = part_.begin(static_cast<int>(s));
-        for (const ShardOp& op : ops.per_shard[static_cast<std::size_t>(s)])
-          slice.set(op.vertex - base, op.other, op.insert);
-      });
+void ShardedMatrixOracle::apply_ops(const RoutedOps& ops) {
+  for (std::size_t s = 0; s < ops.per_shard.size(); ++s) {
+    BitMatrix& slice = slices_[s];
+    const Vertex base = part_.begin(static_cast<int>(s));
+    for (const ShardOp& op : ops.per_shard[s])
+      slice.set(op.vertex - base, op.other, op.insert);
+  }
 }
 
 std::int64_t ShardedMatrixOracle::probe(Vertex u, const BitVec& mask,
@@ -238,40 +236,33 @@ void ShardedAdjacencyStore::charge_route(std::int64_t total_ops) {
   ++batch_rounds_;
 }
 
-void ShardedAdjacencyStore::apply_graph_ops(const RoutedOps& ops, int threads) {
-  // Each shard replays the directed copies it owns in update order; shards
-  // own disjoint row sets, so the concurrent replay is race-free and equals
-  // the serial one.
-  parallel_for_threads(
-      gated_threads(ops.total_ops, 32, threads),
-      static_cast<std::int64_t>(ops.per_shard.size()), [&](std::int64_t s) {
-        for (const ShardOp& op : ops.per_shard[static_cast<std::size_t>(s)]) {
-          if (op.insert)
-            link(op.vertex, op.other);
-          else
-            unlink(op.vertex, op.other);
-        }
-      });
+void ShardedAdjacencyStore::apply_graph_ops(const RoutedOps& ops) {
+  // Each shard replays the directed copies it owns in update order.
+  for (const auto& shard_ops : ops.per_shard)
+    for (const ShardOp& op : shard_ops) {
+      if (op.insert)
+        link(op.vertex, op.other);
+      else
+        unlink(op.vertex, op.other);
+    }
   m_edges_ += ops.edge_delta;
 }
 
 void ShardedAdjacencyStore::apply_structural(
-    std::span<const EdgeUpdate> updates, std::span<const std::uint8_t> structural,
-    int threads) {
+    std::span<const EdgeUpdate> updates, std::span<const std::uint8_t> structural) {
   // Route once; the op lists feed both the adjacency slices and the oracle
   // row ranges.
   const RoutedOps ops = route_structural_ops(part_, updates, structural);
   charge_route(ops.total_ops);
-  apply_graph_ops(ops, threads);
-  oracle_.apply_ops(ops, threads);
+  apply_graph_ops(ops);
+  oracle_.apply_ops(ops);
 }
 
 void ShardedAdjacencyStore::apply_adjacency(
-    std::span<const EdgeUpdate> updates, std::span<const std::uint8_t> structural,
-    int threads) {
+    std::span<const EdgeUpdate> updates, std::span<const std::uint8_t> structural) {
   RoutedOps ops = route_structural_ops(part_, updates, structural);
   charge_route(ops.total_ops);
-  apply_graph_ops(ops, threads);
+  apply_graph_ops(ops);
   // Keep the routing for the deferred flush_oracle over the same spans (the
   // rebuild-overlap path), so the common window routes once like
   // apply_structural does.
@@ -280,21 +271,20 @@ void ShardedAdjacencyStore::apply_adjacency(
 }
 
 void ShardedAdjacencyStore::flush_oracle(std::span<const EdgeUpdate> updates,
-                                         std::span<const std::uint8_t> structural,
-                                         int threads) {
+                                         std::span<const std::uint8_t> structural) {
   CachedRoute cached = std::exchange(pending_oracle_route_, {});
   if (cached.updates == updates.data() && cached.flags == structural.data() &&
       cached.count == updates.size()) {
     // The routed ops already crossed the boundary with apply_adjacency (which
     // charged them); replaying them into the oracle rows sends nothing new.
-    oracle_.apply_ops(cached.ops, threads);
+    oracle_.apply_ops(cached.ops);
     return;
   }
   // Cache miss (the misprediction-rewind suffix): a genuinely new routing
   // round crosses the boundary.
   const RoutedOps ops = route_structural_ops(part_, updates, structural);
   charge_route(ops.total_ops);
-  oracle_.apply_ops(ops, threads);
+  oracle_.apply_ops(ops);
 }
 
 // ----------------------------------------------------- ShardedDynamicMatcher

@@ -23,10 +23,13 @@
 /// `DynamicMatcher`'s. The store routes each batch's structural directed
 /// copies to their owning shards (the `Problem1Instance::apply_chunk`
 /// resolution discipline — chunks shard cleanly), shards apply local
-/// adjacency and bit-row mutations in parallel replaying their op lists in
-/// (shard-id, update-index) order, while **all matching commits run through
-/// the serial coordinator in update order** and the Theorem 6.2 rebuild
-/// budget is replayed globally:
+/// adjacency and bit-row mutations by replaying their op lists in
+/// (shard-id, update-index) order on the calling thread (a conflict-free
+/// prefix is too little work to pay for a pool fan-out; docs/ablation.md),
+/// **all matching commits run through the coordinator in update order**,
+/// and the Theorem 6.2 rebuild budget is replayed globally. The shards are
+/// a model of the vertex-partition setting and its message ledger
+/// (`comm_stats()`), not a source of update-path parallelism:
 ///
 ///   ShardedDynamicMatcher is **bit-identical to DynamicMatcher** —
 ///   matchings (mate by mate), graph, rebuild counts *and positions*, and
@@ -181,14 +184,14 @@ class ShardedMatrixOracle final : public WeakOracle {
   [[nodiscard]] double lambda() const override { return 0.5; }
   void on_insert(Vertex u, Vertex v) override;
   void on_erase(Vertex u, Vertex v) override;
-  /// Shard-parallel maintenance: each shard replays the directed copies it
-  /// owns serially in batch order; shards own disjoint row ranges, so the
-  /// final matrix state equals the serial replay at any thread count.
+  /// Routed maintenance on the calling thread (`threads` is ignored): each
+  /// shard replays the directed copies it owns in batch order, so the final
+  /// matrix state equals the serial on_insert/on_erase replay.
   void on_batch(std::span<const EdgeUpdate> updates,
                 std::span<const std::uint8_t> structural, int threads) override;
   /// on_batch on pre-routed ops (lets callers route a batch once and feed
   /// both the graph slices and the oracle).
-  void apply_ops(const RoutedOps& ops, int threads);
+  void apply_ops(const RoutedOps& ops);
 
   [[nodiscard]] Vertex num_vertices() const { return part_.num_vertices(); }
   [[nodiscard]] const VertexPartition& partition() const { return part_; }
@@ -259,11 +262,11 @@ class ShardedAdjacencyStore {
   bool toggle(const EdgeUpdate& up);
 
   void apply_structural(std::span<const EdgeUpdate> updates,
-                        std::span<const std::uint8_t> structural, int threads);
+                        std::span<const std::uint8_t> structural);
   void apply_adjacency(std::span<const EdgeUpdate> updates,
-                       std::span<const std::uint8_t> structural, int threads);
+                       std::span<const std::uint8_t> structural);
   void flush_oracle(std::span<const EdgeUpdate> updates,
-                    std::span<const std::uint8_t> structural, int threads);
+                    std::span<const std::uint8_t> structural);
 
   /// The vertex-partition participation policy the core hands to every
   /// Theorem 6.2 boost (replay_core.hpp contract).
@@ -301,9 +304,9 @@ class ShardedAdjacencyStore {
   void link(Vertex u, Vertex v);    // directed copy into owner(u)'s slice
   void unlink(Vertex u, Vertex v);  // directed copy out of owner(u)'s slice
 
-  /// Applies pre-routed ops to the adjacency slices shard-parallel (each
-  /// shard replays its list in update order) and updates m_edges_.
-  void apply_graph_ops(const RoutedOps& ops, int threads);
+  /// Applies pre-routed ops to the adjacency slices (each shard replays its
+  /// list in update order) and updates m_edges_.
+  void apply_graph_ops(const RoutedOps& ops);
 
   /// Charges one routing round of `total_ops` directed copies to the batch
   /// ledger; no-op at shards = 1 or for an empty flush (nothing crosses).

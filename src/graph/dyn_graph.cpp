@@ -171,28 +171,22 @@ void DynGraph::apply_structural(std::span<const EdgeUpdate> updates,
 }
 
 void DynGraph::apply_structural_disjoint(std::span<const EdgeUpdate> updates,
-                                         std::span<const std::uint8_t> structural,
-                                         int threads) {
+                                         std::span<const std::uint8_t> structural) {
   BMF_REQUIRE(structural.size() == updates.size(),
               "DynGraph::apply_structural_disjoint: flag span size mismatch");
-  std::int64_t delta = 0;
-  for (std::size_t i = 0; i < updates.size(); ++i)
-    if (structural[i]) delta += updates[i].insert ? 1 : -1;
-  parallel_for_threads(effective_threads(updates.size(), threads),
-                       static_cast<std::int64_t>(updates.size()),
-                       [&](std::int64_t i) {
-                         const auto k = static_cast<std::size_t>(i);
-                         if (!structural[k]) return;
-                         const EdgeUpdate& up = updates[k];
-                         if (up.insert) {
-                           link(up.u, up.v);
-                           link(up.v, up.u);
-                         } else {
-                           unlink(up.u, up.v);
-                           unlink(up.v, up.u);
-                         }
-                       });
-  m_ += delta;
+  for (std::size_t i = 0; i < updates.size(); ++i) {
+    if (!structural[i]) continue;
+    const EdgeUpdate& up = updates[i];
+    if (up.insert) {
+      link(up.u, up.v);
+      link(up.v, up.u);
+      ++m_;
+    } else {
+      unlink(up.u, up.v);
+      unlink(up.v, up.u);
+      --m_;
+    }
+  }
 }
 
 }  // namespace bmf

@@ -40,6 +40,11 @@ struct EdgeUpdate {
   /// Problem 1 allows "empty updates" that change nothing but count toward
   /// chunk accounting.
   [[nodiscard]] bool empty() const { return u == kNoVertex; }
+  /// True iff the dynamic engines accept this update on an n-vertex graph:
+  /// an empty update, or two distinct endpoints in [0, n).
+  [[nodiscard]] bool valid_for(Vertex n) const {
+    return empty() || (u >= 0 && u < n && v >= 0 && v < n && u != v);
+  }
 
   static EdgeUpdate ins(Vertex u, Vertex v) { return {u, v, true}; }
   static EdgeUpdate del(Vertex u, Vertex v) { return {u, v, false}; }
@@ -90,10 +95,9 @@ class DynGraph {
 
   /// Fast path of `apply_structural` for batches whose structural updates
   /// have pairwise-disjoint endpoints (each vertex is touched at most once):
-  /// applies updates concurrently without any grouping pass.
+  /// applies them in batch order without any grouping pass.
   void apply_structural_disjoint(std::span<const EdgeUpdate> updates,
-                                 std::span<const std::uint8_t> structural,
-                                 int threads = 1);
+                                 std::span<const std::uint8_t> structural);
 
  private:
   void link(Vertex u, Vertex v);    // one-directional sorted insert

@@ -103,12 +103,13 @@ MatchingService::MatchingService(Vertex n, const ServiceConfig& cfg)
         return std::make_unique<ShardedDynamicMatcher>(n, cfg);
       }()),
       engine_(owned_engine_.get()),
+      n_(engine_->num_vertices()),
       queue_(static_cast<std::size_t>(cfg_.queue_capacity)) {
   start();
 }
 
 MatchingService::MatchingService(ReplayEngine& engine, const ServiceConfig& cfg)
-    : cfg_(cfg), engine_(&engine),
+    : cfg_(cfg), engine_(&engine), n_(engine.num_vertices()),
       queue_([&] {
         validate_service_config(cfg, "MatchingService");
         return static_cast<std::size_t>(cfg.queue_capacity);
@@ -133,7 +134,14 @@ void MatchingService::start() {
 
 MatchingService::~MatchingService() { close(); }
 
+void MatchingService::require_valid(const EdgeUpdate& update) const {
+  if (!update.valid_for(n_))
+    throw std::invalid_argument(
+        "MatchingService: invalid update (endpoint out of range or u == v)");
+}
+
 bool MatchingService::submit(const EdgeUpdate& update) {
+  require_valid(update);
   // Count before pushing so a concurrent flush() cannot observe the pushed
   // item as already-committed surplus; roll back if the push was refused.
   submitted_.fetch_add(1, std::memory_order_acq_rel);
@@ -148,12 +156,14 @@ bool MatchingService::submit(const EdgeUpdate& update) {
 }
 
 bool MatchingService::submit_batch(std::span<const EdgeUpdate> updates) {
+  for (const EdgeUpdate& up : updates) require_valid(up);
   for (const EdgeUpdate& up : updates)
     if (!submit(up)) return false;
   return true;
 }
 
 bool MatchingService::try_submit(const EdgeUpdate& update) {
+  require_valid(update);
   submitted_.fetch_add(1, std::memory_order_acq_rel);
   if (queue_.try_push(update)) return true;
   submitted_.fetch_sub(1, std::memory_order_acq_rel);

@@ -9,9 +9,8 @@
 /// Client threads `submit` `EdgeUpdate`s into a bounded MPSC ingest queue
 /// (util/bounded_queue.hpp). One writer thread drains the queue, coalescing
 /// whatever has arrived (up to `coalesce_max`) into a single batch, and
-/// drives `ReplayEngine::apply_batch` — the existing conflict-free prefix
-/// cutting in `DynamicReplayCore` is the intra-batch parallelization; the
-/// queue is merely the batching boundary. After each committed batch the
+/// drives `ReplayEngine::apply_batch` on its own thread — the queue is
+/// merely the batching boundary. After each committed batch the
 /// writer *publishes an epoch*: an immutable `MatchingSnapshot` (compact mate
 /// array + size + epoch id, exported by the replay core's snapshot hook)
 /// installed in a mutex-guarded publish slot. Reader threads answer `mate_of`
@@ -180,10 +179,14 @@ class MatchingService {
   MatchingService& operator=(const MatchingService&) = delete;
 
   /// Enqueues one update (any thread); blocks while the queue is full.
-  /// Returns false iff the service is closed.
+  /// Returns false iff the service is closed. Every submit entry point throws
+  /// std::invalid_argument on the caller's thread, enqueueing nothing, for an
+  /// update the engine would reject (`!update.valid_for(n)`: an endpoint out
+  /// of range or u == v); empty updates are legal.
   bool submit(const EdgeUpdate& update) BMF_EXCLUDES(flush_mutex_);
-  /// Enqueues a span in order (one queue lock, still coalesced downstream by
-  /// arrival); blocks for space. Returns false iff closed part-way.
+  /// Enqueues a span in order (coalesced downstream by arrival); blocks for
+  /// space. Returns false iff closed part-way. The whole span is validated
+  /// first, so a span holding an invalid update enqueues nothing.
   bool submit_batch(std::span<const EdgeUpdate> updates)
       BMF_EXCLUDES(flush_mutex_);
   /// Non-blocking submit; returns false if the queue is full or closed (the
@@ -237,6 +240,8 @@ class MatchingService {
   /// writer thread.
   void start();
   void writer_loop();
+  /// The door check behind every submit entry point (see submit()).
+  void require_valid(const EdgeUpdate& update) const;
   /// Minimum SSP reader clock over registered readers; registry lock held.
   [[nodiscard]] std::int64_t min_observed_locked() const
       BMF_REQUIRES(registry_mutex_);
@@ -249,6 +254,9 @@ class MatchingService {
   ServiceConfig cfg_;
   std::unique_ptr<ShardedDynamicMatcher> owned_engine_;
   ReplayEngine* engine_;
+  /// The served engine's vertex count, fixed at construction (the door check
+  /// reads it from client threads without touching the engine).
+  Vertex n_;
 
   BoundedQueue<EdgeUpdate> queue_;
   /// The publish slot. A leaf lock (lock_order_manifest.json): held only for

@@ -51,21 +51,21 @@ class MinimalStore {
 #endif
 #ifndef BMF_OMIT_APPLY_STRUCTURAL
   void apply_structural(std::span<const bmf::EdgeUpdate> updates,
-                        std::span<const std::uint8_t> structural, int threads) {
-    g_.apply_structural_disjoint(updates, structural, threads);
-    oracle_.on_batch(updates, structural, threads);
+                        std::span<const std::uint8_t> structural) {
+    g_.apply_structural_disjoint(updates, structural);
+    oracle_.on_batch(updates, structural, /*threads=*/1);
   }
 #endif
 #ifndef BMF_OMIT_APPLY_ADJACENCY
   void apply_adjacency(std::span<const bmf::EdgeUpdate> updates,
-                       std::span<const std::uint8_t> structural, int threads) {
-    g_.apply_structural_disjoint(updates, structural, threads);
+                       std::span<const std::uint8_t> structural) {
+    g_.apply_structural_disjoint(updates, structural);
   }
 #endif
 #ifndef BMF_OMIT_FLUSH_ORACLE
   void flush_oracle(std::span<const bmf::EdgeUpdate> updates,
-                    std::span<const std::uint8_t> structural, int threads) {
-    oracle_.on_batch(updates, structural, threads);
+                    std::span<const std::uint8_t> structural) {
+    oracle_.on_batch(updates, structural, /*threads=*/1);
   }
 #endif
 #ifndef BMF_OMIT_REBUILD_PARTICIPATION

@@ -553,17 +553,17 @@ class MinimalStore {
   }
 
   void apply_structural(std::span<const EdgeUpdate> updates,
-                        std::span<const std::uint8_t> structural, int threads) {
-    g_.apply_structural_disjoint(updates, structural, threads);
-    oracle_.on_batch(updates, structural, threads);
+                        std::span<const std::uint8_t> structural) {
+    g_.apply_structural_disjoint(updates, structural);
+    oracle_.on_batch(updates, structural, /*threads=*/1);
   }
   void apply_adjacency(std::span<const EdgeUpdate> updates,
-                       std::span<const std::uint8_t> structural, int threads) {
-    g_.apply_structural_disjoint(updates, structural, threads);
+                       std::span<const std::uint8_t> structural) {
+    g_.apply_structural_disjoint(updates, structural);
   }
   void flush_oracle(std::span<const EdgeUpdate> updates,
-                    std::span<const std::uint8_t> structural, int threads) {
-    oracle_.on_batch(updates, structural, threads);
+                    std::span<const std::uint8_t> structural) {
+    oracle_.on_batch(updates, structural, /*threads=*/1);
   }
 
   [[nodiscard]] RebuildParticipation& rebuild_participation() {

@@ -8,7 +8,8 @@
 ///    snapshots, exercised through the abstract ReplayEngine surface (no
 ///    facade-specific casts anywhere).
 ///  * ServiceBasic — end-to-end golden runs: whatever the service coalesces,
-///    the published matching equals the sequential engine's.
+///    the published matching equals the sequential engine's, also when
+///    malformed updates are rejected at the door in between.
 ///  * ServiceMultiReaderStress — concurrent readers against a live writer;
 ///    every observed snapshot must equal the golden sequential matching at
 ///    its update count, with staleness <= max_lag. Runs under TSan in CI.
@@ -408,6 +409,78 @@ TEST(ServiceBasic, SubmitFailsAfterCloseAndCloseIsIdempotent) {
   EXPECT_EQ(svc.stats().updates_committed, 1);
 }
 
+/// Feeds `svc` a random stream through all three submit entry points with
+/// malformed updates mixed in; every malformed one must throw on this thread
+/// and enqueue nothing. Returns the updates the service accepted, in order.
+std::vector<EdgeUpdate> submit_with_malformed(MatchingService& svc, Vertex n) {
+  const std::vector<EdgeUpdate> bad{EdgeUpdate::ins(3, 3), EdgeUpdate::del(0, n),
+                                    EdgeUpdate::ins(-2, 1),
+                                    EdgeUpdate::del(n + 7, 2)};
+  Rng rng(23);
+  const auto ups = dyn_random_updates(n, 300, 0.7, rng);
+  std::vector<EdgeUpdate> accepted;
+  for (std::size_t i = 0; i < ups.size(); ++i) {
+    const EdgeUpdate& b = bad[i % bad.size()];
+    EXPECT_THROW(svc.submit(b), std::invalid_argument);
+    EXPECT_THROW(svc.try_submit(b), std::invalid_argument);
+    if (i % 3 == 0) {
+      // A span holding one bad update enqueues none of its good ones.
+      const std::vector<EdgeUpdate> mixed{ups[i], EdgeUpdate::none(), b};
+      EXPECT_THROW(svc.submit_batch(mixed), std::invalid_argument);
+    }
+    if (i % 3 == 1) {
+      while (!svc.try_submit(ups[i])) std::this_thread::yield();
+    } else if (i % 3 == 2) {
+      const std::vector<EdgeUpdate> pair{ups[i], EdgeUpdate::none()};
+      EXPECT_TRUE(svc.submit_batch(pair));
+      accepted.push_back(ups[i]);
+      accepted.push_back(EdgeUpdate::none());  // empty updates stay legal
+      continue;
+    } else {
+      EXPECT_TRUE(svc.submit(ups[i]));
+    }
+    accepted.push_back(ups[i]);
+  }
+  svc.flush();
+  return accepted;
+}
+
+TEST(ServiceBasic, MalformedUpdatesAreRejectedAtTheDoor) {
+  const Vertex n = 30;
+  DynamicMatcherConfig gcfg;
+  gcfg.rebuild_every = 8;  // rebuilds keep firing while the door rejects
+  const auto expect_golden = [&](const MatchingService& svc,
+                                 const std::vector<EdgeUpdate>& accepted) {
+    const testdiff::RunResult want = testdiff::run_sequential(n, accepted, gcfg);
+    const auto snap = svc.latest();
+    EXPECT_EQ(snap->updates_applied(), static_cast<std::int64_t>(accepted.size()));
+    EXPECT_EQ(std::vector<Vertex>(snap->mates().begin(), snap->mates().end()),
+              want.mates);
+    EXPECT_EQ(svc.engine().rebuild_positions(), want.rebuild_positions);
+  };
+  {
+    // The owned sharded engine.
+    ServiceConfig cfg;
+    static_cast<DynamicCoreConfig&>(cfg) = gcfg;
+    cfg.shards = 2;
+    cfg.threads = 2;
+    cfg.coalesce_max = 16;
+    MatchingService svc(n, cfg);
+    expect_golden(svc, submit_with_malformed(svc, n));
+  }
+  {
+    // A borrowed flat engine.
+    MatrixWeakOracle oracle(n);
+    DynamicMatcherConfig ecfg = gcfg;
+    ecfg.threads = 2;
+    DynamicMatcher engine(n, oracle, ecfg);
+    ServiceConfig cfg;
+    cfg.coalesce_max = 16;
+    MatchingService svc(engine, cfg);
+    expect_golden(svc, submit_with_malformed(svc, n));
+  }
+}
+
 TEST(ServiceBasic, RefusedConcurrentSubmitsDoNotStrandFlush) {
   // Regression: flush() captures submitted_ as its target; a concurrent
   // submit in its count-then-push window whose push is then refused (queue
@@ -457,6 +530,7 @@ TEST(ServiceMultiReaderStress, EverySnapshotMatchesGoldenAtItsUpdateCount) {
 
   constexpr int kReaders = 4;
   std::atomic<bool> stop{false};
+  std::atomic<int> live{0};  // readers that have taken their first snapshot
   std::vector<std::vector<std::string>> violations(kReaders);
   std::vector<std::int64_t> reads(kReaders, 0);
   std::vector<std::thread> threads;
@@ -465,8 +539,13 @@ TEST(ServiceMultiReaderStress, EverySnapshotMatchesGoldenAtItsUpdateCount) {
     threads.emplace_back([&, t] {
       SnapshotReader reader(svc);
       auto& errs = violations[static_cast<std::size_t>(t)];
+      bool first = true;
       while (!stop.load(std::memory_order_acquire)) {
         const auto snap = reader.snapshot();
+        if (first) {
+          first = false;
+          live.fetch_add(1, std::memory_order_release);
+        }
         const auto u = static_cast<std::size_t>(snap->updates_applied());
         if (u >= golden.digest.size()) {
           errs.push_back("updates_applied out of range: " + std::to_string(u));
@@ -484,6 +563,10 @@ TEST(ServiceMultiReaderStress, EverySnapshotMatchesGoldenAtItsUpdateCount) {
     });
   }
 
+  // Every reader is reading before the first submit, so each one overlaps
+  // the live writer however the threads are scheduled (otherwise a fast
+  // writer can finish the stream before a reader is first scheduled).
+  while (live.load(std::memory_order_acquire) < kReaders) std::this_thread::yield();
   // Single producer: golden prefixes assume submission order == stream order.
   for (const EdgeUpdate& up : ups) ASSERT_TRUE(svc.submit(up));
   svc.flush();

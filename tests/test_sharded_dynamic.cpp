@@ -314,6 +314,34 @@ TEST(ShardedDifferential, InvalidUpdateRejectedBeforeMutation) {
   EXPECT_EQ(dm.num_edges(), 0);
 }
 
+TEST(ShardedServicePath, UpdatePathIsThreadCountInvariant) {
+  // The MatchingService engine's shape: 2 shards, rebuilds pushed out, large
+  // slices. Between rebuilds every prefix runs inline on the caller, so the
+  // threads knob must change nothing — mates, counters and the routing
+  // ledger alike — and the result must equal the sequential loop.
+  constexpr Vertex n = 2000;
+  Rng rng(17);
+  const auto ups = dyn_random_updates(n, 6000, 0.75, rng);
+  DynamicMatcherConfig cfg;
+  cfg.rebuild_every = std::int64_t{1} << 40;
+  const RunResult want = testdiff::run_sequential(n, ups, cfg);
+  ASSERT_EQ(want.rebuilds, 0);
+
+  std::vector<CommStats> comm;
+  for (const int threads : {1, 2, 4}) {
+    CommStats c;
+    const RunResult got = testdiff::run_sharded(n, ups, cfg, /*shards=*/2, threads,
+                                                /*batch_size=*/512, nullptr,
+                                                nullptr, &c);
+    EXPECT_EQ(got, want) << "threads=" << threads;
+    comm.push_back(c);
+  }
+  EXPECT_GT(comm[0].batch_rounds, 0);
+  EXPECT_EQ(comm[0].rebuild_rounds, 0);
+  EXPECT_EQ(comm[1], comm[0]);
+  EXPECT_EQ(comm[2], comm[0]);
+}
+
 // ------------------------------------------- rebuild participation + comm
 
 /// The per-shard Theorem 6.2 rebuild-participation fan-out
